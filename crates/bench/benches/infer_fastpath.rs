@@ -160,28 +160,38 @@ fn build_workload() -> (Dataset, ZipNet, usize) {
     (ds, net, t)
 }
 
-/// Steady-state executor runs must not touch the heap. Pinned to one
-/// worker: multi-worker dispatch boxes tasks by design, the serial
-/// compute path must not allocate at all.
+/// Steady-state executor runs must not touch the heap — the full batch
+/// and partial-lane runs (1 and 3 of 4 lanes, whose lane-scaled dims
+/// live on the stack) alike. Pinned to one worker: multi-worker dispatch
+/// boxes tasks by design, the serial compute path must not allocate at
+/// all.
 fn assert_zero_alloc(net: &mut ZipNet, ds: &Dataset) {
     set_num_threads(1);
     let s = ds.s();
     let mut exec = plan_zipnet(net, FusePolicy::Folded, 4, 3, 3).unwrap();
     let x = vec![0.5f32; 4 * s * 3 * 3];
     let mut out = vec![0.0f32; exec.output_dims().iter().product()];
+    let (crop_len, win_len) = (x.len() / 4, out.len() / 4);
     // Warm-up run populates the im2col scratch arenas.
     exec.run_into(&x, &mut out).unwrap();
-    let before = ALLOC_COUNT.load(Ordering::Relaxed);
-    for _ in 0..10 {
-        exec.run_into(&x, &mut out).unwrap();
+    for lanes in [4usize, 1, 3] {
+        let before = ALLOC_COUNT.load(Ordering::Relaxed);
+        for _ in 0..10 {
+            exec.run_into(&x[..lanes * crop_len], &mut out[..lanes * win_len])
+                .unwrap();
+        }
+        let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocs, 0,
+            "steady-state InferExec::run_into over {lanes} of 4 lanes made {allocs} heap \
+             allocations"
+        );
+        println!(
+            "executor steady-state allocations over 10 runs of {lanes}/4 lanes: {allocs} \
+             (asserted 0)"
+        );
     }
-    let allocs = ALLOC_COUNT.load(Ordering::Relaxed) - before;
     set_num_threads(0);
-    assert_eq!(
-        allocs, 0,
-        "steady-state InferExec::run_into made {allocs} heap allocations"
-    );
-    println!("executor steady-state allocations over 10 runs: {allocs} (asserted 0)");
 }
 
 fn report_phase_spans() {

@@ -15,10 +15,14 @@
 //!   their buffer pinned until that use). Steady-state execution performs
 //!   **zero heap allocations**: the arena and the im2col scratch arenas
 //!   are all warm after the first run.
-//! * **Batching** — the plan is specialised for a fixed `[batch, …]`
-//!   input shape, so a sliding-window pipeline can push many crops
-//!   through one executor invocation. Per-sample kernels make batched
-//!   results bit-identical to one-at-a-time runs.
+//! * **Batching** — the plan is specialised for a `[batch, …]` input
+//!   shape, the *most* lanes one executor invocation carries, so a
+//!   sliding-window pipeline can push many crops through it at once. A
+//!   run executes only the lanes it is handed: every kernel is
+//!   per-sample and every arena value is batch-outermost, so the first
+//!   `k ≤ batch` lanes are a contiguous prefix of every buffer and cost
+//!   `k / batch` of a full run, bit-identical lane for lane to the full
+//!   batch and to one-at-a-time runs.
 //!
 //! Three fusion policies trade exactness against speed:
 //!
@@ -53,7 +57,7 @@ use mtsr_tensor::conv::{
     conv2d_forward_into, conv2d_forward_q_into, conv3d_forward_into, conv3d_forward_q_into,
     conv_transpose3d_forward_into, Conv2dSpec, Conv3dSpec,
 };
-use mtsr_tensor::matmul::{sgemm_nt, BnEpilogue, Epilogue};
+use mtsr_tensor::matmul::{sgemm_nt_rows, BnEpilogue, Epilogue};
 use mtsr_tensor::qmatmul::QuantizedMat;
 use mtsr_tensor::{Result, Tensor, TensorError};
 use std::collections::HashMap;
@@ -167,8 +171,13 @@ enum Kernel {
     /// `[N, C, …spatial] → [N, C]`, f64 accumulation exactly as
     /// `GlobalAvgPool`.
     AvgPool,
-    /// `y = x·Wᵀ + b`, exactly as the `Dense` head.
-    Dense { w: Tensor, bias: Vec<f32> },
+    /// `y = x·Wᵀ + b`, exactly as the `Dense` head over `batch` rows (the
+    /// planned batch picks the GEMM kernel however few lanes a run has).
+    Dense {
+        w: Tensor,
+        bias: Vec<f32>,
+        batch: usize,
+    },
 }
 
 /// Where a step reads its primary operand.
@@ -180,6 +189,9 @@ enum Loc {
     Slot(usize),
 }
 
+/// Highest input rank any planned kernel sees (`[N, C, D, H, W]`).
+const MAX_RANK: usize = 5;
+
 struct ExecStep {
     kernel: Kernel,
     src: Loc,
@@ -187,11 +199,14 @@ struct ExecStep {
     extra: Option<usize>,
     /// Destination arena slot (equals `src` slot for AddAssign).
     dst: usize,
-    /// Dims the kernel sees its input as (free reshapes are expressed by
-    /// consecutive steps viewing the same buffer with different dims).
+    /// Dims the kernel sees its input as at the full planned batch (free
+    /// reshapes are expressed by consecutive steps viewing the same
+    /// buffer with different dims). `in_dims[0]` is the batch; a run
+    /// replaces it with its lane count.
     in_dims: Vec<usize>,
-    in_len: usize,
-    out_len: usize,
+    /// Input / output elements per batch lane.
+    in_lane: usize,
+    out_lane: usize,
 }
 
 /// A step while the graph is being built (value ids, not slots).
@@ -333,6 +348,12 @@ impl GraphBuilder {
                 Loc::Slot(slot_of_root[r].expect("value written before read"))
             }
         };
+        let batch = in_dims.first().copied().unwrap_or(0);
+        if batch == 0 || in_dims.contains(&0) || out_dims.first() != Some(&batch) {
+            return Err(plan_err(format!(
+                "input {in_dims:?} and output {out_dims:?} must be non-empty and lead with one batch"
+            )));
+        }
         let mut steps = Vec::with_capacity(self.steps.len());
         for step in self.steps {
             let src = resolve(step.src);
@@ -350,15 +371,24 @@ impl GraphBuilder {
                     return Err(plan_err("skip add from the input buffer".into()));
                 }
             };
-            let in_len = step.in_dims.iter().product();
+            // Lane-prefix execution needs every value batch-outermost.
+            if step.in_dims.len() > MAX_RANK
+                || step.in_dims.first() != Some(&batch)
+                || step.out_len % batch != 0
+            {
+                return Err(plan_err(format!(
+                    "step viewing {:?} -> {} elements is not batch-{batch}-outermost",
+                    step.in_dims, step.out_len
+                )));
+            }
             steps.push(ExecStep {
                 kernel: step.kernel,
                 src,
                 extra,
                 dst,
+                in_lane: step.in_dims[1..].iter().product(),
                 in_dims: step.in_dims,
-                in_len,
-                out_len: step.out_len,
+                out_lane: step.out_len / batch,
             });
         }
         let out_slot = match resolve(output) {
@@ -394,7 +424,8 @@ pub struct InferPlan {
 }
 
 impl InferPlan {
-    /// The `[batch, …]` input shape the plan is specialised for.
+    /// The `[batch, …]` input shape the plan is specialised for; `batch`
+    /// is the most lanes one run may carry.
     pub fn input_dims(&self) -> &[usize] {
         &self.in_dims
     }
@@ -404,7 +435,7 @@ impl InferPlan {
         self.fuse
     }
 
-    /// The output shape one run produces.
+    /// The output shape a full-batch run produces.
     pub fn output_dims(&self) -> &[usize] {
         &self.out_dims
     }
@@ -416,10 +447,11 @@ impl InferPlan {
     }
 }
 
-/// A planned, arena-backed inference program for one fixed input shape.
-/// Built by [`plan_zipnet`] or [`plan_discriminator`]; run it as many
-/// times as there are batches, or [`InferExec::fork`] it so several
-/// threads replay the same shared [`InferPlan`] concurrently.
+/// A planned, arena-backed inference program for up to `batch` lanes of
+/// one fixed per-lane shape. Built by [`plan_zipnet`] or
+/// [`plan_discriminator`]; run it as many times as there are batches, or
+/// [`InferExec::fork`] it so several threads replay the same shared
+/// [`InferPlan`] concurrently.
 pub struct InferExec {
     plan: Arc<InferPlan>,
     slots: Vec<Vec<f32>>,
@@ -490,11 +522,10 @@ fn run_kernel(kernel: &Kernel, src: &[f32], dst: &mut [f32], in_dims: &[usize]) 
             }
             Ok(())
         }
-        Kernel::Dense { w, bias } => {
+        Kernel::Dense { w, bias, batch } => {
             let (f_out, f_in) = (w.dims()[0], w.dims()[1]);
-            let n = in_dims[0];
             dst.fill(0.0);
-            sgemm_nt(src, w.as_slice(), dst, n, f_in, f_out);
+            sgemm_nt_rows(src, w.as_slice(), dst, in_dims[0], *batch, f_in, f_out);
             for row in dst.chunks_mut(f_out) {
                 for (v, b) in row.iter_mut().zip(bias) {
                     *v += *b;
@@ -544,53 +575,57 @@ impl InferExec {
         self.slots.iter().map(|s| s.len()).sum()
     }
 
-    /// Executes the plan. `x` must hold exactly the planned input
-    /// elements, `out` the planned output elements. Performs no heap
-    /// allocation once the kernels' scratch arenas are warm (first run).
+    /// Executes the plan over the leading `k` lanes of the planned batch,
+    /// where `k` is read off the slices: `x` holds `k` lanes of input,
+    /// `out` receives the same `k` lanes of output, `1 ≤ k ≤ batch`. Only
+    /// those lanes are computed — a partial batch costs `k / batch` of a
+    /// full one — and each is bit-identical to the same lane of a
+    /// full-batch run. Performs no heap allocation once the kernels'
+    /// scratch arenas are warm (first run).
     pub fn run_into(&mut self, x: &[f32], out: &mut [f32]) -> Result<()> {
-        let in_len: usize = self.plan.in_dims.iter().product();
-        let out_len: usize = self.plan.out_dims.iter().product();
-        if x.len() != in_len || out.len() != out_len {
+        let batch = self.plan.in_dims[0];
+        let lane_in: usize = self.plan.in_dims[1..].iter().product();
+        let lane_out: usize = self.plan.out_dims[1..].iter().product();
+        let lanes = x.len() / lane_in;
+        if !(1..=batch).contains(&lanes)
+            || x.len() != lanes * lane_in
+            || out.len() != lanes * lane_out
+        {
             return Err(TensorError::InvalidShape {
                 op: "InferExec::run_into",
                 reason: format!(
-                    "plan wants {in_len} in / {out_len} out, got {} / {}",
+                    "plan wants 1..={batch} lanes of {lane_in} in / {lane_out} out, got {} / {}",
                     x.len(),
                     out.len()
                 ),
             });
         }
         for step in &self.plan.steps {
+            let (in_len, out_len) = (lanes * step.in_lane, lanes * step.out_lane);
             if matches!(step.kernel, Kernel::AddAssign) {
                 let extra = step.extra.expect("AddAssign has a second operand");
                 let (src, dst) = slot_pair(&mut self.slots, extra, step.dst);
-                for (d, s) in dst[..step.out_len].iter_mut().zip(&src[..step.out_len]) {
+                for (d, s) in dst[..out_len].iter_mut().zip(&src[..out_len]) {
                     *d += *s;
                 }
                 continue;
             }
+            // The step's dims with this run's lane count in front.
+            let mut dims = [lanes; MAX_RANK];
+            let dims = &mut dims[..step.in_dims.len()];
+            dims[1..].copy_from_slice(&step.in_dims[1..]);
             match step.src {
                 Loc::Input => {
                     let dst = &mut self.slots[step.dst];
-                    run_kernel(
-                        &step.kernel,
-                        &x[..step.in_len],
-                        &mut dst[..step.out_len],
-                        &step.in_dims,
-                    )?;
+                    run_kernel(&step.kernel, &x[..in_len], &mut dst[..out_len], dims)?;
                 }
                 Loc::Slot(s) => {
                     let (src, dst) = slot_pair(&mut self.slots, s, step.dst);
-                    run_kernel(
-                        &step.kernel,
-                        &src[..step.in_len],
-                        &mut dst[..step.out_len],
-                        &step.in_dims,
-                    )?;
+                    run_kernel(&step.kernel, &src[..in_len], &mut dst[..out_len], dims)?;
                 }
             }
         }
-        out.copy_from_slice(&self.slots[self.plan.out_slot][..out_len]);
+        out.copy_from_slice(&self.slots[self.plan.out_slot][..out.len()]);
         Ok(())
     }
 
@@ -1017,7 +1052,7 @@ pub fn plan_discriminator(
     let wt = get(&params, "d.head.weight")?;
     let bias = get(&params, "d.head.bias")?.as_slice().to_vec();
     v = gb.push(
-        Kernel::Dense { w: wt, bias },
+        Kernel::Dense { w: wt, bias, batch },
         v,
         None,
         vec![batch, c_in],

@@ -520,11 +520,9 @@ impl InferSession {
         let mut start = 0;
         while start < self.origins.len() {
             let end = (start + self.batch).min(self.origins.len());
+            let lanes = end - start;
             {
                 let _t = mtsr_telemetry::span("infer.crop");
-                // A partial final chunk leaves stale crops in the tail
-                // batch lanes; kernels are per-sample, so the live lanes
-                // are unaffected and the tail outputs are discarded.
                 for (bi, i) in (start..end).enumerate() {
                     let (y0, x0) = self.origins[i];
                     crop_coarse(
@@ -539,7 +537,11 @@ impl InferSession {
             }
             {
                 let _t = mtsr_telemetry::span("infer.forward");
-                self.exec.run_into(&self.input_buf, &mut self.output_buf)?;
+                // A partial final chunk runs only its occupied lanes.
+                self.exec.run_into(
+                    &self.input_buf[..lanes * crop_len],
+                    &mut self.output_buf[..lanes * win_len],
+                )?;
             }
             {
                 let _t = mtsr_telemetry::span("infer.reassemble");

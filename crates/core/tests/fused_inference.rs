@@ -4,10 +4,15 @@
 //!   stack's eval forward — for ZipNet at every supported upscaling
 //!   factor, for the discriminator, and at 1 / 2 / all worker threads.
 //! * Batched execution equals one-at-a-time execution bit-for-bit.
+//! * Every lane prefix of a planned batch equals the same lanes of the
+//!   full-batch run bit-for-bit (repeated per ISA tier in
+//!   `lane_prefix_isa.rs`).
 //! * A planned [`InferSession`] reproduces `MtsrPipeline::predict_full`
 //!   exactly (Exact) or to f32 round-off (Folded).
 //! * `fold_batchnorms` survives an `mtsr_nn::io` save/reload round-trip
 //!   and stays within f32 round-off of the unfolded eval model.
+
+mod common;
 
 use mtsr_metrics::nrmse;
 use mtsr_nn::layer::Layer;
@@ -124,6 +129,14 @@ fn batched_execution_equals_single() {
             "batch lane {b}"
         );
     }
+}
+
+/// Partial batches execute only their occupied lanes, bit-identically to
+/// the full batch: ZipNet up-2/4/10 × {Exact, Folded, Quantized} and a
+/// discriminator plan, every `k in 1..=batch`, at 1 / 2 / all workers.
+#[test]
+fn lane_prefix_runs_bit_equal_the_full_batch() {
+    common::lane_prefix_differential("ambient isa");
 }
 
 fn fitted_tiny_model(seed: u64) -> (Dataset, MtsrModel, usize) {

@@ -211,10 +211,13 @@ impl DriftMonitor {
     }
 }
 
-/// Mean [`window_nrmse`] of `plan` over `pairs`, each run through lane 0
-/// of a throwaway executor — the promotion gate's scoring function, also
-/// usable as an offline evaluation of any candidate plan. Runs on the
-/// adaptation thread, never the event loop.
+/// Mean [`window_nrmse`] of `plan` over `pairs`, packed `batch` at a time
+/// into a throwaway executor (the last run carries only the leftover
+/// lanes) and scored in pair order — the promotion gate's scoring
+/// function, also usable as an offline evaluation of any candidate plan.
+/// Lanes are bit-identical however they are packed, so the score does not
+/// depend on the plan's batch. Runs on the adaptation thread, never the
+/// event loop.
 pub fn holdout_nrmse(plan: &Arc<InferPlan>, pairs: &[AdaptPair]) -> io::Result<f32> {
     if pairs.is_empty() {
         return Err(io::Error::new(
@@ -230,22 +233,27 @@ pub fn holdout_nrmse(plan: &Arc<InferPlan>, pairs: &[AdaptPair]) -> io::Result<f
     let mut input = vec![0.0f32; in_len];
     let mut output = vec![0.0f32; out_len];
     let mut total = 0.0f64;
-    for pair in pairs {
-        if pair.input.len() != crop_len || pair.target.len() != win_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "holdout pair geometry ({} in / {} out) does not match the plan \
-                     ({crop_len} in / {win_len} out)",
-                    pair.input.len(),
-                    pair.target.len()
-                ),
-            ));
+    for chunk in pairs.chunks(batch) {
+        for (pair, lane) in chunk.iter().zip(input.chunks_exact_mut(crop_len)) {
+            if pair.input.len() != crop_len || pair.target.len() != win_len {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "holdout pair geometry ({} in / {} out) does not match the plan \
+                         ({crop_len} in / {win_len} out)",
+                        pair.input.len(),
+                        pair.target.len()
+                    ),
+                ));
+            }
+            lane.copy_from_slice(&pair.input);
         }
-        input[..crop_len].copy_from_slice(&pair.input);
-        exec.run_into(&input, &mut output)
+        let lanes = chunk.len();
+        exec.run_into(&input[..lanes * crop_len], &mut output[..lanes * win_len])
             .map_err(|e| io::Error::other(format!("holdout inference failed: {e}")))?;
-        total += f64::from(window_nrmse(&output[..win_len], &pair.target));
+        for (pair, pred) in chunk.iter().zip(output.chunks_exact(win_len)) {
+            total += f64::from(window_nrmse(pred, &pair.target));
+        }
     }
     Ok((total / pairs.len() as f64) as f32)
 }
@@ -348,5 +356,53 @@ mod tests {
             } => assert_eq!(w, 0.0),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Packing the holdout pairs `batch` to a run must not move the gate:
+    /// the score equals, bit for bit, the one-pair-per-full-batch-run
+    /// evaluation it replaced (pair in lane 0, same pair order, same f64
+    /// accumulation), whether or not the pairs fill whole batches.
+    #[test]
+    fn packed_holdout_score_equals_one_pair_per_run() {
+        use mtsr_tensor::Rng;
+        use zipnet_core::{plan_zipnet, FusePolicy, ZipNet, ZipNetConfig};
+
+        const BATCH: usize = 4;
+        let mut rng = Rng::seed_from(5);
+        let mut gen = ZipNet::new(&ZipNetConfig::tiny(4, 2), &mut rng).unwrap();
+        let exec = plan_zipnet(&mut gen, FusePolicy::Folded, BATCH, 3, 3).unwrap();
+        let plan = Arc::clone(exec.plan());
+        let (crop_len, win_len) = (2 * 3 * 3, 12 * 12);
+        let pairs: Vec<AdaptPair> = (0..2 * BATCH)
+            .map(|_| AdaptPair {
+                input: (0..crop_len).map(|_| rng.next_f32()).collect(),
+                target: (0..win_len).map(|_| rng.next_f32()).collect(),
+            })
+            .collect();
+
+        let one_per_run = |pairs: &[AdaptPair]| -> f32 {
+            let mut exec = InferExec::from_plan(Arc::clone(&plan));
+            let mut input = vec![0.0f32; BATCH * crop_len];
+            let mut output = vec![0.0f32; BATCH * win_len];
+            let mut total = 0.0f64;
+            for pair in pairs {
+                input[..crop_len].copy_from_slice(&pair.input);
+                exec.run_into(&input, &mut output).unwrap();
+                total += f64::from(window_nrmse(&output[..win_len], &pair.target));
+            }
+            (total / pairs.len() as f64) as f32
+        };
+        for n in [1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH] {
+            let packed = holdout_nrmse(&plan, &pairs[..n]).unwrap();
+            assert_eq!(
+                packed.to_bits(),
+                one_per_run(&pairs[..n]).to_bits(),
+                "{n} pairs"
+            );
+        }
+        assert!(holdout_nrmse(&plan, &[]).is_err());
+        let mut bad = pairs[..BATCH + 1].to_vec();
+        bad[BATCH].target.pop();
+        assert!(holdout_nrmse(&plan, &bad).is_err(), "geometry is checked");
     }
 }

@@ -393,11 +393,18 @@ pub struct InferResponse {
 impl InferResponse {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.data.len() * 4);
-        for v in [self.model, self.generation, self.h, self.w] {
+        InferResponse::encode_window(self.model, self.generation, self.h, self.w, &self.data)
+    }
+
+    /// [`InferResponse::encode`] over a borrowed `h·w` window — the
+    /// daemon's reply path serialises straight from the executor's
+    /// output lane without first owning a copy of it.
+    pub fn encode_window(model: u32, generation: u32, h: u32, w: u32, data: &[f32]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + data.len() * 4);
+        for v in [model, generation, h, w] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        push_f32s(&mut out, &self.data);
+        push_f32s(&mut out, data);
         out
     }
 

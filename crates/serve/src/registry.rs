@@ -43,6 +43,9 @@ pub(crate) struct ModelStats {
     pub errors: AtomicU64,
     pub timeouts: AtomicU64,
     pub reloads: AtomicU64,
+    /// Executor runs for this model and the lanes they carried.
+    pub exec_batches: AtomicU64,
+    pub exec_lanes: AtomicU64,
     /// `TRUTH` frames that matched a buffered prediction.
     pub truth_matched: AtomicU64,
     /// `TRUTH` frames with no matching prediction (late, wrong id, or

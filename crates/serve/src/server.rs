@@ -31,9 +31,11 @@
 //! * Each **batcher** pops a job, resolves the job's model in the
 //!   `ModelRegistry`, lingers briefly and tops the
 //!   batch up with *same-model* jobs (`drain_matching`), then replays a
-//!   cached executor for that model's current plan generation. Replies
-//!   are stamped `(model, generation)`; per-sample kernels keep them
-//!   bit-identical to offline inference under that exact plan.
+//!   cached executor for that model's current plan generation over
+//!   exactly the lanes the batch occupies — a lone request costs one
+//!   lane of compute, not a padded batch. Replies are stamped
+//!   `(model, generation)`; per-sample kernels keep them bit-identical
+//!   to offline inference under that exact plan.
 //! * **Hot reload** (`RELOAD` frame or `SIGHUP`) re-plans a checkpoint
 //!   on a throwaway thread and atomically swaps the slot's
 //!   `Arc<InferPlan>`, bumping its generation. In-flight batches finish
@@ -76,8 +78,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Default per-request deadline when the client sends `deadline_ms=0`.
     pub deadline: Duration,
-    /// How long a batcher waits after the first popped job for more to
-    /// coalesce. Zero disables coalescing waits (first-come batches only).
+    /// How long after its first job was admitted a batch departs, so
+    /// that more can coalesce; time the job already spent queued counts.
+    /// Zero disables coalescing waits (first-come batches only).
     pub linger: Duration,
     /// Event-loop wait granularity and batcher pop interval. Also the
     /// worst-case completion latency if a wake datagram is dropped.
@@ -190,6 +193,11 @@ struct Stats {
     busy: AtomicU64,
     timeouts: AtomicU64,
     errors: AtomicU64,
+    /// Executor runs, and the lanes they carried: realised batch
+    /// occupancy is `exec_lanes / exec_batches`. Every lane ends as one
+    /// `served` reply, or one ERR reply when its run failed.
+    exec_batches: AtomicU64,
+    exec_lanes: AtomicU64,
     conns_accepted: AtomicU64,
     conns_closed: AtomicU64,
     conns_rejected: AtomicU64,
@@ -314,6 +322,8 @@ impl Shared {
              busy: {}\n\
              timeouts: {}\n\
              errors: {}\n\
+             exec_batches: {}\n\
+             exec_lanes: {}\n\
              conns_open: {}\n\
              conns_accepted: {}\n\
              conns_closed: {}\n\
@@ -343,6 +353,8 @@ impl Shared {
             s.busy.load(Ordering::SeqCst),
             s.timeouts.load(Ordering::SeqCst),
             s.errors.load(Ordering::SeqCst),
+            s.exec_batches.load(Ordering::SeqCst),
+            s.exec_lanes.load(Ordering::SeqCst),
             accepted.saturating_sub(closed),
             accepted,
             closed,
@@ -380,7 +392,7 @@ impl Shared {
                  timeouts={} reloads={} p50_ns={} p90_ns={} p99_ns={} w_p50_ns={} w_p90_ns={} \
                  w_p99_ns={} drift={drift:.4} drift_n={drift_n} pairs={pairs} truth_ok={} \
                  truth_miss={} adapting={} drift_triggers={} promotions_ok={} \
-                 promotions_rejected={}\n",
+                 promotions_rejected={} exec_batches={} exec_lanes={}\n",
                 entry.name,
                 plan.fuse_policy().name(),
                 mst.served.load(Ordering::SeqCst),
@@ -399,6 +411,8 @@ impl Shared {
                 mst.drift_triggers.load(Ordering::SeqCst),
                 mst.promotions_ok.load(Ordering::SeqCst),
                 mst.promotions_rejected.load(Ordering::SeqCst),
+                mst.exec_batches.load(Ordering::SeqCst),
+                mst.exec_lanes.load(Ordering::SeqCst),
             ));
         }
         text
@@ -1247,6 +1261,13 @@ fn observe_truth(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) {
         ));
         return;
     };
+    // One NaN would poison the rolling gauge and the fine-tune corpus:
+    // refuse it before the monitor sees it (the buffered prediction stays
+    // claimable by a well-formed retry).
+    if !all_finite(&parsed.data) {
+        reject_non_finite(shared, conn, req.id, parsed.model);
+        return;
+    }
     let (outcome, trigger) = {
         let mut mon = entry.drift.lock().expect("drift monitor poisoned");
         let outcome = mon.observe_truth(req.id, &parsed.data);
@@ -1297,6 +1318,20 @@ fn observe_truth(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) {
     }
 }
 
+fn all_finite(data: &[f32]) -> bool {
+    data.iter().all(|v| v.is_finite())
+}
+
+/// ERR reply for an `INFER` or `TRUTH` frame carrying NaN/±Inf, counted
+/// like any other rejected payload; nothing is enqueued or scored.
+fn reject_non_finite(shared: &Shared, conn: &mut Conn, id: u64, model: u32) {
+    shared.stats.errors.fetch_add(1, Ordering::SeqCst);
+    if let Some(entry) = shared.registry.entry(model) {
+        entry.stats.errors.fetch_add(1, Ordering::SeqCst);
+    }
+    conn.queue_reply(&Response::error(id, "non-finite payload"));
+}
+
 fn admit_infer(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) {
     let parsed = match InferRequest::decode(&req.payload) {
         Ok(p) => p,
@@ -1333,6 +1368,10 @@ fn admit_infer(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) {
                 parsed.s, parsed.h, parsed.w, parsed.model
             ),
         ));
+        return;
+    }
+    if !all_finite(&parsed.data) {
+        reject_non_finite(shared, conn, req.id, parsed.model);
         return;
     }
     let now = Instant::now();
@@ -1424,11 +1463,18 @@ fn batcher_loop(shared: &Arc<Shared>) {
             entry.exec.output_dims()[3] as u32,
         );
 
+        let admitted = first.enqueued;
         let mut jobs = vec![first];
         if batch > 1 {
-            if !shared.linger.is_zero() && shared.queue.depth() == 0 {
-                std::thread::sleep(shared.linger);
-            }
+            // The batch departs `linger` after its first job was admitted:
+            // one that already queued that long (any backlog) leaves at
+            // once, a fresh one waits out the remainder. Deciding on the
+            // queue depth seen at pop instead raced near-simultaneous
+            // arrivals against this thread's wake-up, and two closed-loop
+            // clients drifted in and out of a lockstep that skipped the
+            // wait for both.
+            let due = admitted + shared.linger;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
             // Same-model top-up only: other tenants' jobs keep their
             // FIFO position for the next worker.
             jobs.extend(shared.queue.drain_matching(batch - 1, |j| j.model == model));
@@ -1456,36 +1502,42 @@ fn batcher_loop(shared: &Arc<Shared>) {
             continue;
         }
 
-        for (lane, job) in live.iter().enumerate() {
-            entry.input[lane * crop_len..(lane + 1) * crop_len].copy_from_slice(&job.data);
+        for (job, lane) in live.iter().zip(entry.input.chunks_exact_mut(crop_len)) {
+            lane.copy_from_slice(&job.data);
         }
-        // Stale data in unfilled tail lanes is harmless: batched kernels
-        // are per-sample, and tail outputs are never read.
+        // Only the occupied lanes execute; a lone lane is one chunk, which
+        // the kernels run inline on this thread without the shared pool.
+        let lanes = live.len();
         let ran = {
             let _t = mtsr_telemetry::span("serve.exec");
-            entry.exec.run_into(&entry.input, &mut entry.output)
+            entry.exec.run_into(
+                &entry.input[..lanes * crop_len],
+                &mut entry.output[..lanes * win_len],
+            )
         };
+        let me = shared.registry.entry(model).expect("model exists");
+        let lane_count = lanes as u64;
+        shared.stats.exec_batches.fetch_add(1, Ordering::SeqCst);
+        shared
+            .stats
+            .exec_lanes
+            .fetch_add(lane_count, Ordering::SeqCst);
+        me.stats.exec_batches.fetch_add(1, Ordering::SeqCst);
+        me.stats.exec_lanes.fetch_add(lane_count, Ordering::SeqCst);
+        mtsr_telemetry::add_counter("serve.exec.lanes", lane_count);
         match ran {
             Ok(()) => {
-                let me = shared.registry.entry(model).expect("model exists");
-                for (lane, job) in live.iter().enumerate() {
-                    let data = entry.output[lane * win_len..(lane + 1) * win_len].to_vec();
+                for (job, window) in live.iter().zip(entry.output.chunks_exact(win_len)) {
                     // Drift monitoring buffers the served prediction so a
                     // later TRUTH frame with this job's id can score it.
                     if shared.adapt.is_some() {
                         me.drift
                             .lock()
                             .expect("drift monitor poisoned")
-                            .record_prediction(job.id, &job.data, &data);
+                            .record_prediction(job.id, &job.data, window);
                     }
-                    let payload = InferResponse {
-                        model,
-                        generation,
-                        h: out_h,
-                        w: out_w,
-                        data,
-                    }
-                    .encode();
+                    let payload =
+                        InferResponse::encode_window(model, generation, out_h, out_w, window);
                     let ns = job.enqueued.elapsed().as_nanos() as u64;
                     shared
                         .latency
@@ -1507,7 +1559,6 @@ fn batcher_loop(shared: &Arc<Shared>) {
                 }
             }
             Err(e) => {
-                let me = shared.registry.entry(model).expect("model exists");
                 for job in &live {
                     me.stats.errors.fetch_add(1, Ordering::SeqCst);
                     shared.finish(

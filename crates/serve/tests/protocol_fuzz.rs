@@ -240,3 +240,33 @@ fn payload_codecs_survive_random_input() {
         }
     }
 }
+
+/// The borrowed-window encoder the daemon's reply path uses must emit
+/// exactly the owned encoder's bytes and round-trip every f32 bit
+/// pattern (NaN payloads and signed zeros included) through `decode`.
+#[test]
+fn borrowed_window_encoder_round_trips_bit_for_bit() {
+    for case in 0..200u64 {
+        let mut rng = case_rng(6, case);
+        let (h, w) = (rng.below(9) as u32, rng.below(9) as u32);
+        let data: Vec<f32> = random_bytes(&mut rng, (h * w) as usize * 4)
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        let (model, generation) = (rng.below(1 << 16) as u32, rng.below(1 << 16) as u32);
+        let bytes = InferResponse::encode_window(model, generation, h, w, &data);
+        let back = InferResponse::decode(&bytes).unwrap();
+        assert_eq!(
+            (back.model, back.generation, back.h, back.w),
+            (model, generation, h, w),
+            "case {case}"
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.data), bits(&data), "case {case}");
+        assert_eq!(
+            back.encode(),
+            bytes,
+            "case {case}: owned and borrowed encoders differ"
+        );
+    }
+}

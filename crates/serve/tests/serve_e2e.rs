@@ -227,6 +227,46 @@ fn graceful_drain_answers_all_admitted_requests() {
     handle.join();
 }
 
+/// The linger window runs from a job's admission, not from the moment a
+/// batcher pops it: a request that already queued for the whole window
+/// behind another batch departs at once instead of lingering again.
+#[test]
+fn linger_counts_time_already_spent_queued() {
+    let s = 2;
+    let linger = Duration::from_millis(400);
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        linger,
+        ..ServeConfig::default()
+    };
+    let handle = serve_tiny(&cfg, s, 2);
+    let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+
+    // 1 is popped from an idle queue and lingers; 2 fills its batch-2
+    // plan; 3 stays queued until that batch has run, by which time most
+    // of its own window is spent.
+    let start = std::time::Instant::now();
+    client.send_infer(1, &window_request(s, 0, 1)).unwrap();
+    std::thread::sleep(linger / 4);
+    for id in 2..=3u64 {
+        client.send_infer(id, &window_request(s, 0, id)).unwrap();
+    }
+    for _ in 0..3 {
+        let (id, outcome) = client.recv().unwrap();
+        assert!(matches!(outcome, InferOutcome::Ok(_)), "request {id}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed >= linger, "the first batch lingered: {elapsed:?}");
+    assert!(
+        elapsed < linger * 7 / 4,
+        "request 3 lingered a second time: {elapsed:?}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// Multi-model tenancy: one daemon serves two differently-shaped
 /// tenants over the shared batcher pool, routes by the model id in each
 /// INFER header, reports per-model geometry via INFO and per-model
@@ -395,6 +435,171 @@ fn status_and_validation_replies() {
         "latency_p99_ns:",
     ] {
         assert!(status.contains(needle), "missing `{needle}` in:\n{status}");
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+fn status_field(status: &str, key: &str) -> u64 {
+    let line = status
+        .lines()
+        .find(|l| l.starts_with(&format!("{key}:")))
+        .unwrap_or_else(|| panic!("no `{key}` in:\n{status}"));
+    line.split(':').nth(1).unwrap().trim().parse().unwrap()
+}
+
+/// Polls STATUS until nothing is in flight (counters settle one send
+/// after the reply they describe).
+fn settled_status(client: &mut ServeClient) -> String {
+    for _ in 0..400 {
+        let status = client.status().unwrap();
+        if status_field(&status, "in_flight") == 0 {
+            return status;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("daemon never went idle");
+}
+
+/// Partial batches execute only their occupied lanes and still serve the
+/// offline bits: with 1, 2 and 3 requests outstanding against a batch-4
+/// plan (a long linger lets each batch collect what is outstanding, so
+/// no batch is ever full), the served frame equals the local
+/// `InferSession`'s bit for bit, and the lane counters record the
+/// realised occupancy — `exec_lanes` is exactly the number of served
+/// windows, never a padded multiple of the batch.
+#[test]
+fn partial_batches_serve_offline_bits_and_count_lanes() {
+    let ds = tiny_dataset(5);
+    let mut gen = ZipNet::new(&ZipNetConfig::tiny(4, ds.s()), &mut Rng::seed_from(9)).unwrap();
+    let pipe = MtsrPipeline::new(12, 4);
+    // 9 windows through batch 4: the local session itself ends on a
+    // one-lane chunk.
+    let mut session = pipe.session(&mut gen, &ds, FusePolicy::Exact, 4).unwrap();
+    let windows = session.windows_per_frame() as u64;
+    assert_eq!(windows, 9);
+
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        linger: Duration::from_millis(200),
+        ..ServeConfig::default()
+    };
+    let exec = plan_zipnet(&mut gen, FusePolicy::Exact, 4, 3, 3).unwrap();
+    let handle = Server::start_single(&cfg, exec).unwrap();
+
+    let t = ds.usable_indices(Split::Test)[0];
+    let sample = ds.sample_at(t).unwrap();
+    let sq = sample.input.dims()[2];
+    let coarse = sample.input.as_slice();
+    let local = session.predict_frame(coarse, sq).unwrap();
+    let local_bits: Vec<u32> = local.as_slice().iter().map(|v| v.to_bits()).collect();
+
+    let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+    let (mut min_batches, mut lanes) = (0u64, 0u64);
+    for outstanding in 1..=3u64 {
+        let mut remote = RemotePredictor::new(
+            client,
+            session.origins().to_vec(),
+            session.window(),
+            sq * session.probe(),
+            session.probe(),
+        )
+        .unwrap();
+        remote.set_max_inflight(outstanding as usize);
+        let served = remote.predict_frame(coarse, sq).unwrap();
+        let served_bits: Vec<u32> = served.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(served_bits, local_bits, "{outstanding} outstanding");
+        client = remote.into_client();
+
+        let status = settled_status(&mut client);
+        min_batches += windows.div_ceil(outstanding);
+        lanes += windows;
+        assert_eq!(
+            (
+                status_field(&status, "exec_lanes"),
+                status_field(&status, "served"),
+            ),
+            (lanes, lanes),
+            "{outstanding} outstanding:\n{status}"
+        );
+        // A batch never carries more than what was outstanding (exactly
+        // that, whenever the linger saw the stragglers arrive).
+        let batches = status_field(&status, "exec_batches");
+        assert!(
+            (min_batches..=lanes).contains(&batches),
+            "{outstanding} outstanding: {batches} batches for {lanes} lanes"
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// The lane-accounting invariant: every executed lane ends as exactly
+/// one reply — `exec_lanes == served` (+ lanes answered ERR by a failed
+/// run, of which a healthy plan has none) — globally and per model,
+/// while requests that never reach a lane (TIMEOUT while queued, ERR at
+/// admission) move neither counter.
+#[test]
+fn exec_lanes_equal_served_with_timeouts_and_rejects_in_the_mix() {
+    let s = 2;
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        linger: Duration::from_millis(300),
+        ..ServeConfig::default()
+    };
+    let handle = serve_tiny(&cfg, s, 4);
+    let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+
+    // One batch: request 1 lingers, 2 and 3 join it, 4 expires in the
+    // queue and never occupies a lane.
+    client.send_infer(1, &window_request(s, 0, 1)).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    client.send_infer(2, &window_request(s, 0, 2)).unwrap();
+    client.send_infer(3, &window_request(s, 0, 3)).unwrap();
+    client.send_infer(4, &window_request(s, 1, 4)).unwrap();
+    // Refused at admission: wrong geometry and a NaN payload.
+    client.send_infer(5, &window_request(s + 1, 0, 5)).unwrap();
+    let mut nan = window_request(s, 0, 6);
+    nan.data[3] = f32::NAN;
+    client.send_infer(6, &nan).unwrap();
+
+    let (mut ok, mut timeout, mut err) = (0, 0, 0);
+    for _ in 0..6 {
+        match client.recv().unwrap().1 {
+            InferOutcome::Ok(_) => ok += 1,
+            InferOutcome::Timeout => timeout += 1,
+            InferOutcome::Err(_) => err += 1,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!((ok, timeout, err), (3, 1, 2));
+    // A second, lone request: one more batch of one lane.
+    assert!(matches!(
+        client.infer(&window_request(s, 0, 7)).unwrap(),
+        InferOutcome::Ok(_)
+    ));
+
+    let status = settled_status(&mut client);
+    for (key, want) in [
+        ("admitted", 5),
+        ("served", 4),
+        ("timeouts", 1),
+        ("errors", 2),
+        ("exec_batches", 2),
+        ("exec_lanes", 4),
+    ] {
+        assert_eq!(status_field(&status, key), want, "{key} in:\n{status}");
+    }
+    let model_line = status.lines().find(|l| l.starts_with("model[0]:")).unwrap();
+    for needle in [" served=4 ", " exec_batches=2 ", " exec_lanes=4"] {
+        assert!(
+            model_line.contains(needle),
+            "missing `{needle}` in: {model_line}"
+        );
     }
 
     client.shutdown().unwrap();

@@ -10,7 +10,10 @@ use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use mtsr_serve::protocol::{read_response, write_request, Opcode, RespStatus, MAX_PAYLOAD};
-use mtsr_serve::{InferOutcome, InferRequest, ServeClient, ServeConfig, Server, ServerHandle};
+use mtsr_serve::{
+    AdaptConfig, InferOutcome, InferRequest, ServeClient, ServeConfig, Server, ServerHandle,
+    TruthRequest,
+};
 use mtsr_tensor::Rng;
 use zipnet_core::{plan_zipnet, FusePolicy, ZipNet, ZipNetConfig};
 
@@ -328,6 +331,105 @@ fn connections_beyond_max_conns_are_rejected() {
     });
     let mut fresh = ServeClient::connect(addr).unwrap();
     fresh.status().unwrap();
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// One `key=value` token of the `model[0]:` STATUS line.
+fn model_field(status: &str, key: &str) -> String {
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("model[0]:"))
+        .unwrap_or_else(|| panic!("no model[0] line in:\n{status}"));
+    line.split_whitespace()
+        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
+        .unwrap_or_else(|| panic!("no {key} in: {line}"))
+        .to_string()
+}
+
+/// NaN / ±Inf payloads are refused at the door: a non-finite `INFER` is
+/// answered ERR and never admitted, a non-finite `TRUTH` is answered ERR
+/// and never reaches the drift monitor — the rolling gauge, its sample
+/// count and the fine-tune pair buffer are exactly what they were, and
+/// the prediction it named is still claimable by a well-formed retry.
+#[test]
+fn non_finite_payloads_are_rejected_before_queue_and_drift_monitor() {
+    let cfg = ServeConfig {
+        adapt: Some(AdaptConfig {
+            threshold: 0.5,
+            window: 4,
+            min_pairs: 4,
+            holdout: 1,
+        }),
+        ..ServeConfig::default()
+    };
+    let handle = serve_tiny(&cfg);
+    let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+    let truth = |fill: f32, poison: Option<f32>| {
+        let mut data = vec![fill; 144];
+        if let Some(p) = poison {
+            data[77] = p;
+        }
+        TruthRequest {
+            model: 0,
+            h: 12,
+            w: 12,
+            data,
+        }
+    };
+    let gauge = |status: &str| {
+        ["drift", "drift_n", "pairs", "truth_ok", "truth_miss"].map(|key| model_field(status, key))
+    };
+
+    // A healthy pair first, so the gauge holds a value worth poisoning.
+    for id in [10u64, 11] {
+        client.send_infer(id, &request(id)).unwrap();
+        assert!(matches!(client.recv().unwrap(), (rid, InferOutcome::Ok(_)) if rid == id));
+    }
+    let ack = client.truth(10, &truth(0.25, None)).unwrap().unwrap();
+    assert!(ack.rolling_nrmse.is_finite());
+    let before = gauge(&client.status().unwrap());
+    assert_eq!(before[1..], ["1", "1", "1", "0"].map(String::from));
+
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let err = client.truth(11, &truth(0.25, Some(poison))).unwrap_err();
+        assert!(err.to_string().contains("non-finite payload"), "{err}");
+    }
+    let status = client.status().unwrap();
+    assert_eq!(gauge(&status), before, "a refused TRUTH moved the gauge");
+    assert_eq!(status_field(&status, "errors"), 3);
+    assert_eq!(model_field(&status, "errors"), "3");
+
+    // The prediction the poisoned frames named was not consumed.
+    let ack2 = client.truth(11, &truth(0.5, None)).unwrap().unwrap();
+    assert!(ack2.rolling_nrmse.is_finite());
+    assert_eq!(model_field(&client.status().unwrap(), "drift_n"), "2");
+
+    for (id, poison) in [
+        (20u64, f32::NAN),
+        (21, f32::INFINITY),
+        (22, f32::NEG_INFINITY),
+    ] {
+        let mut req = request(id);
+        req.data[5] = poison;
+        match client.infer(&req).unwrap() {
+            InferOutcome::Err(msg) => assert!(msg.contains("non-finite payload"), "{msg}"),
+            other => panic!("{poison}: unexpected {other:?}"),
+        }
+    }
+    let status = await_status(&mut client, |s| status_field(s, "in_flight") == 0);
+    for (key, want) in [
+        ("admitted", 2),
+        ("served", 2),
+        ("exec_lanes", 2),
+        ("errors", 6),
+        ("queue_depth", 0),
+    ] {
+        assert_eq!(status_field(&status, key), want, "{key} in:\n{status}");
+    }
+    assert_eq!(model_field(&status, "errors"), "6");
+    assert_eq!(model_field(&status, "truth_ok"), "2");
 
     client.shutdown().unwrap();
     handle.join();

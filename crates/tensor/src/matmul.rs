@@ -463,8 +463,9 @@ fn small_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
 
 /// Shared parallel driver: zero/keep `C`, then split its rows into
 /// contiguous worker slabs. Layout selection (`ta`/`tb`) and the
-/// small-shape fallback are decided by the *full* problem shape before
-/// the split, so the arithmetic is identical for every worker count.
+/// small-shape fallback (`small`, from [`is_small`] of the *full* problem
+/// shape) are decided by the caller before the split, so the arithmetic is
+/// identical for every worker count.
 #[allow(clippy::too_many_arguments)]
 fn sgemm_parallel(
     a: &[f32],
@@ -476,6 +477,7 @@ fn sgemm_parallel(
     k: usize,
     n: usize,
     accumulate: bool,
+    small: bool,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -488,7 +490,7 @@ fn sgemm_parallel(
     }
     let a_rstride = if ta { m } else { k };
     let b_cstride = if tb { k } else { n };
-    if is_small(m, k, n) {
+    if small {
         if !accumulate {
             c.fill(0.0);
         }
@@ -526,7 +528,7 @@ pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) 
     assert_eq!(b.len(), k * n, "sgemm: bad B length");
     assert_eq!(c.len(), m * n, "sgemm: bad C length");
     let _span = mtsr_telemetry::span("tensor.sgemm");
-    sgemm_parallel(a, false, b, false, c, m, k, n, false);
+    sgemm_parallel(a, false, b, false, c, m, k, n, false, is_small(m, k, n));
 }
 
 /// `C += A · B` — accumulating variant used for gradient accumulation
@@ -536,7 +538,7 @@ pub fn sgemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(b.len(), k * n, "sgemm_acc: bad B length");
     assert_eq!(c.len(), m * n, "sgemm_acc: bad C length");
     let _span = mtsr_telemetry::span("tensor.sgemm_acc");
-    sgemm_parallel(a, false, b, false, c, m, k, n, true);
+    sgemm_parallel(a, false, b, false, c, m, k, n, true, is_small(m, k, n));
 }
 
 /// `C = Aᵀ · B` without materialising the transpose
@@ -546,17 +548,40 @@ pub fn sgemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     assert_eq!(b.len(), k * n, "sgemm_tn: bad B length");
     assert_eq!(c.len(), m * n, "sgemm_tn: bad C length");
     let _span = mtsr_telemetry::span("tensor.sgemm_tn");
-    sgemm_parallel(a, true, b, false, c, m, k, n, false);
+    sgemm_parallel(a, true, b, false, c, m, k, n, false, is_small(m, k, n));
 }
 
 /// `C = A · Bᵀ` without materialising the transpose
 /// (`A: m×k`, `B` stored `n×k`, `C: m×n`), thread-parallel.
 pub fn sgemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "sgemm_nt: bad A length");
+    sgemm_nt_rows(a, b, c, m, m, k, n);
+}
+
+/// The leading `rows` rows of the `m`-row product [`sgemm_nt`] computes,
+/// bit for bit (`A: rows×k`, `C: rows×n`). Every row of a product is an
+/// independent reduction, but the small-shape and packed kernels round
+/// differently and are selected by shape — so the selection here is made
+/// from the full `m`, letting a caller that fills only a prefix of a
+/// planned batch (the inference executor's dense head) get exactly the
+/// bits the full batch would.
+pub fn sgemm_nt_rows(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        rows <= m,
+        "sgemm_nt_rows: {rows} rows of an {m}-row product"
+    );
+    assert_eq!(a.len(), rows * k, "sgemm_nt: bad A length");
     assert_eq!(b.len(), n * k, "sgemm_nt: bad B length");
-    assert_eq!(c.len(), m * n, "sgemm_nt: bad C length");
+    assert_eq!(c.len(), rows * n, "sgemm_nt: bad C length");
     let _span = mtsr_telemetry::span("tensor.sgemm_nt");
-    sgemm_parallel(a, false, b, true, c, m, k, n, false);
+    sgemm_parallel(a, false, b, true, c, rows, k, n, false, is_small(m, k, n));
 }
 
 // ---------------------------------------------------------------------------
@@ -876,6 +901,33 @@ mod tests {
         let refr = matmul_naive(&a, &c.transpose2d().unwrap()).unwrap();
         for (x, y) in nt.as_slice().iter().zip(refr.as_slice()) {
             assert!((x - y).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn nt_leading_rows_match_the_full_product_bitwise() {
+        let mut rng = Rng::seed_from(4);
+        // A dense-head shape whose full product takes the packed kernel
+        // while every short prefix alone would fall under the small-shape
+        // threshold, and one that is small throughout.
+        for &(m, k, n) in &[(32usize, 256usize, 1usize), (4, 24, 3)] {
+            let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
+            let b = Tensor::rand_normal([n, k], 0.0, 1.0, &mut rng);
+            let mut full = vec![0.0f32; m * n];
+            sgemm_nt(a.as_slice(), b.as_slice(), &mut full, m, k, n);
+            for rows in 0..=m {
+                let mut lead = vec![f32::NAN; rows * n];
+                sgemm_nt_rows(
+                    &a.as_slice()[..rows * k],
+                    b.as_slice(),
+                    &mut lead,
+                    rows,
+                    m,
+                    k,
+                    n,
+                );
+                assert_eq!(lead, full[..rows * n], "m={m} k={k} n={n} rows={rows}");
+            }
         }
     }
 
